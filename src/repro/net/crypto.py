@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Iterable, Optional, Set, Union
 
 from repro.errors import CryptoError
+from repro.net.message import Message
 
 
 #: Token memo entry cap: keys are (signer, digest_hash) with small values,
@@ -87,6 +88,14 @@ class Signature:
     cross-registry check, a certificate replacing a signer's entry, a
     ``repr``).  The derivation goes through the minting registry, so the
     value is identical to an eagerly computed token.
+
+    This class carries an explicit digest string: protocol-level
+    signatures (commit and phase votes, BRD submit/echo/ready) sign a
+    digest their protocol already holds.  Envelope signatures minted by the
+    authenticated links are :class:`PayloadSignature` instances, which
+    defer the digest itself as well: it is computed only by a check
+    against a second registry, the remote leader change's ``LComplaint``
+    quorum check, or pickling at a shard boundary.
     """
 
     __slots__ = ("signer", "digest", "_token", "verified_by")
@@ -134,6 +143,36 @@ class Signature:
     def __setstate__(self, state) -> None:
         self.signer, self.digest, self._token = state
         self.verified_by = None
+
+
+class PayloadSignature(Signature):
+    """An envelope signature whose digest is read from its payload on demand.
+
+    The authenticated links sign every message they send, but in an honest
+    run nothing reads an envelope signature's digest: receivers accept it
+    from the ``verified_by`` memo, and the simulated CPU cost of signing is
+    priced by the network's processing model, not by host work.  So the
+    signature holds a reference to the payload and ``digest`` is
+    ``payload.digest()``, computed — and cached on the payload — only when
+    something reads it: a check against a second registry (which derives
+    the token), the remote leader change's ``LComplaint`` quorum check, or
+    pickling at a shard boundary.  This relies on the network's standing
+    contract that a payload is immutable once handed to it, so the lazy
+    digest equals the one an eager signer would have taken at send time.
+
+    Pickling yields a plain :class:`Signature` with the same ``(signer,
+    digest, token)`` an eagerly minted one ships, so the receiving shard
+    worker verifies it exactly as before.
+    """
+
+    __slots__ = ("payload",)
+
+    @property
+    def digest(self) -> str:  # type: ignore[override]
+        return self.payload.digest()
+
+    def __reduce__(self):
+        return (Signature, (self.signer, self.digest, self.token))
 
 
 @dataclass
@@ -237,8 +276,12 @@ class KeyRegistry:
     # ------------------------------------------------------------------ #
     # Signing and verification
     # ------------------------------------------------------------------ #
-    def sign(self, signer: str, digest: str) -> Signature:
+    def sign(self, signer: str, digest: Union[str, Message]) -> Signature:
         """Sign ``digest`` on behalf of ``signer``.
+
+        ``digest`` is either a digest string or a payload message; a
+        payload yields a :class:`PayloadSignature`, whose digest is
+        ``payload.digest()`` read on first use.
 
         Allocation-only on the hot path: the signature is born with the
         ``verified_by`` memo set and a lazy token (see :class:`Signature`),
@@ -247,9 +290,13 @@ class KeyRegistry:
         """
         if signer not in self._secret_keys:
             raise CryptoError(f"unknown signer {signer!r}")
-        signature = Signature.__new__(Signature)
+        if isinstance(digest, str):
+            signature = Signature.__new__(Signature)
+            signature.digest = digest
+        else:
+            signature = PayloadSignature.__new__(PayloadSignature)
+            signature.payload = digest
         signature.signer = signer
-        signature.digest = digest
         signature._token = _LAZY
         signature.verified_by = self
         return signature
@@ -357,4 +404,4 @@ class KeyRegistry:
         return False
 
 
-__all__ = ["Certificate", "KeyRegistry", "Signature"]
+__all__ = ["Certificate", "KeyRegistry", "PayloadSignature", "Signature"]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, Sequence
 
-from repro.net.crypto import Signature
 from repro.net.message import Message
 from repro.net.network import Network
 
@@ -30,12 +29,15 @@ class AuthenticatedPerfectLink:
         self.owner = owner
         self.network = network
 
-    def sign(self, payload: Message) -> Signature:
-        """Sign a payload digest with the owner's key."""
-        return self.network.registry.sign(self.owner, payload.digest())
-
     def send(self, destination: str, payload: Message) -> None:
         """Sign and send ``payload`` to ``destination``.
+
+        The envelope signature is bound to the payload itself (a
+        :class:`~repro.net.crypto.PayloadSignature`), so sending does not
+        digest the payload: the digest is computed only if something reads
+        the signature's ``digest`` — a check against a second registry, the
+        remote leader change's ``LComplaint`` quorum check, or pickling at a
+        shard boundary.
 
         A self-addressed send skips the signature entirely: it takes the
         0 ms loop-back, which never verifies, and a process trusts its own
@@ -51,17 +53,20 @@ class AuthenticatedPerfectLink:
             self.owner,
             destination,
             payload,
-            network.registry.sign(self.owner, payload.digest()),
+            network.registry.sign(self.owner, payload),
         )
 
     def send_many(self, destinations: Sequence[str], payload: Message) -> None:
-        """Sign once and send the payload to several destinations."""
+        """Sign once and send the payload to several destinations.
+
+        Signs lazily, as :meth:`send` does.
+        """
         network = self.network
         network.multicast(
             self.owner,
             destinations,
             payload,
-            network.registry.sign(self.owner, payload.digest()),
+            network.registry.sign(self.owner, payload),
         )
 
 
@@ -99,8 +104,13 @@ class AuthenticatedBestEffortBroadcast:
         return members
 
     def broadcast(self, payload: Message) -> None:
-        """Sign and send ``payload`` to every current group member."""
-        signature = self.network.registry.sign(self.owner, payload.digest())
+        """Sign and send ``payload`` to every current group member.
+
+        Signs lazily, as :meth:`AuthenticatedPerfectLink.send` does: the
+        payload is digested only if something reads the signature's
+        ``digest``.
+        """
+        signature = self.network.registry.sign(self.owner, payload)
         self.network.multicast(self.owner, self.members(), payload, signature)
 
 

@@ -6,9 +6,14 @@ that records the sender, destination, the sender's signature over the
 payload digest, and the size in bytes used by the bandwidth model.
 
 Messages are treated as immutable once handed to the network: the digest and
-estimated size are computed lazily and cached per instance, so re-sending or
-re-signing the same payload (retransmits, broadcasts fanned out one link at
-a time) never recomputes the full-field ``repr`` walk.
+estimated size are computed lazily and cached per instance.  Sending does
+not digest a payload at all — the authenticated links bind the envelope
+signature to the payload and read its digest only on demand (see
+:class:`~repro.net.crypto.PayloadSignature`) — so the full-field walk runs
+at most once per payload, and only when something reads the digest: a
+check against a second key registry, the remote leader change's
+``LComplaint`` quorum check, pickling at a shard boundary, or a protocol
+that signs a message's digest explicitly.
 """
 
 from __future__ import annotations
@@ -56,7 +61,9 @@ def _compile_digest_fn(cls: type, names: Tuple[str, ...]):
 
     The same code-generation trick ``dataclasses`` uses for ``__init__``:
     a straight-line function with direct attribute loads replaces the
-    name-lookup loop, since ``digest`` runs once for every signed message.
+    name-lookup loop, since ``digest`` runs once for every message whose
+    digest is read (protocol digests the commit, phase and BRD paths sign,
+    and envelope signatures read lazily — see :meth:`Message.digest`).
     String fields (ids, keys, phase names, embedded digests — the
     majority) are framed as ``s<len>|<content>``: the length marker keeps
     field boundaries unambiguous even though the content may contain the
@@ -139,8 +146,11 @@ class Message:
         """Digest of the message contents, used for signing.
 
         Cached per instance: messages are logically immutable once signed or
-        sent, so the first computation (a full-field ``repr`` walk) is also
-        the last.
+        sent, so the first computation (a full-field walk) is also the last.
+        Sending a message does not call this: an envelope signature reads
+        its payload's digest only on demand — when a second key registry
+        verifies it, when the remote leader change checks an ``LComplaint``
+        quorum, or when it is pickled at a shard boundary.
         """
         cache = self.__dict__
         digest = cache.get("_digest_cache")

@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import dataclass
+
 import pytest
 
 from repro.errors import CryptoError
-from repro.net.crypto import Certificate, KeyRegistry
+from repro.net.crypto import Certificate, KeyRegistry, PayloadSignature, Signature
+from repro.net.message import Message
+
+
+@dataclass
+class Note(Message):
+    text: str = "hello"
+    round_number: int = 3
 
 
 @pytest.fixture
@@ -44,6 +54,54 @@ class TestSignatures:
         keys.register("p0")
         after = keys.sign("p0", "d")
         assert before == after
+
+
+class TestPayloadSignatures:
+    """Envelope signatures bound to a payload, whose digest is read lazily."""
+
+    def test_signing_a_payload_does_not_digest_it(self, keys):
+        payload = Note()
+        signature = keys.sign("p0", payload)
+        assert isinstance(signature, PayloadSignature)
+        assert "_digest_cache" not in payload.__dict__
+        assert signature.digest == payload.digest()
+        assert payload.__dict__["_digest_cache"] == payload.digest()
+
+    def test_equals_hashes_and_verifies_like_eager_signature(self, keys):
+        payload = Note()
+        lazy = keys.sign("p0", payload)
+        eager = keys.sign("p0", payload.digest())
+        assert type(eager) is Signature
+        assert lazy == eager and eager == lazy
+        assert hash(lazy) == hash(eager)
+        assert lazy != keys.sign("p1", payload.digest())
+        assert lazy != keys.sign("p0", Note(text="other").digest())
+        assert keys.verify(lazy)
+
+    def test_pickle_round_trip_verifies_against_twin_registry(self, keys):
+        payload = Note()
+        signature = keys.sign("p0", payload)
+        eager = keys.sign("p0", payload.digest())
+        shipped = pickle.loads(pickle.dumps(signature))
+        assert type(shipped) is Signature
+        assert shipped.verified_by is None
+        assert (shipped.signer, shipped.digest) == ("p0", payload.digest())
+        assert shipped.token == signature.token == eager.token
+        twin = KeyRegistry(seed=1)
+        for name in ("p0", "p1", "p2", "p3"):
+            twin.register(name)
+        assert twin.verify(shipped)
+        stranger = KeyRegistry(seed=2)
+        stranger.register("p0")
+        assert not stranger.verify(pickle.loads(pickle.dumps(signature)))
+
+    def test_cross_registry_verify_reads_the_payload_digest(self, keys):
+        payload = Note()
+        signature = keys.sign("p0", payload)
+        twin = KeyRegistry(seed=1)
+        twin.register("p0")
+        assert twin.verify(signature)
+        assert "_digest_cache" in payload.__dict__
 
 
 class TestCertificates:

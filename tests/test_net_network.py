@@ -156,6 +156,25 @@ class TestAuthentication:
         simulator.run()
         assert len(b.received) == 1
 
+    def test_honest_sends_do_not_digest_payloads(self):
+        # Envelope signatures read the payload digest only on demand; an
+        # honest same-registry delivery never does.
+        simulator, network = build_network(verify=True)
+        nodes = [Recorder(f"n{i}", simulator) for i in range(3)]
+        for node in nodes:
+            network.register(node, "us-west1")
+        link = AuthenticatedPerfectLink("n0", network)
+        link.send("n1", Ping("unicast"))
+        link.send_many(["n1", "n2"], Ping("multicast"))
+        group = lambda: [n.process_id for n in nodes]
+        AuthenticatedBestEffortBroadcast("n0", network, group).broadcast(Ping("broadcast"))
+        simulator.run()
+        delivered = [payload for node in nodes[1:] for _, payload, _ in node.received]
+        assert sorted(p.note for p in delivered) == [
+            "broadcast", "broadcast", "multicast", "multicast", "unicast",
+        ]
+        assert all("_digest_cache" not in p.__dict__ for p in delivered)
+
 
 class TestCpuModel:
     def test_cpu_queue_serializes_processing(self):
