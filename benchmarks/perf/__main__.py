@@ -21,7 +21,11 @@ Flags:
     --output PATH  where to write the JSON (default: <repo>/BENCH_perf.json).
     --compare OLD  after running, print per-bench speedups vs a prior
                    BENCH_perf.json (the perf trajectory in one command) and
-                   gate on its determinism fingerprint.
+                   gate on its determinism fingerprint.  OLD is read before
+                   any suite runs and is never overwritten: when the default
+                   output is OLD itself, the fresh report goes to
+                   <repo>/BENCH_perf.new.json instead; an explicit --output
+                   naming OLD is refused.
     --against NEW  with --compare: skip running and diff two result files.
     --record-baseline
                    also rewrite ``baseline.py`` with these results (use only
@@ -53,6 +57,9 @@ from benchmarks.perf import (  # noqa: E402
     workload_bench,
 )
 
+#: Where a run writes its report unless ``--output`` says otherwise.
+DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_perf.json")
+
 _SUITES = {
     "kernel": kernel_bench.run,
     "network": network_bench.run,
@@ -70,7 +77,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--only", default="", help=f"comma-separated subset of: {','.join(_SUITES)}"
     )
-    parser.add_argument("--output", default=os.path.join(REPO_ROOT, "BENCH_perf.json"))
+    parser.add_argument("--output", default="", help="report path (default: <repo>/BENCH_perf.json)")
     parser.add_argument("--record-baseline", action="store_true")
     parser.add_argument(
         "--compare",
@@ -107,10 +114,17 @@ def main(argv=None) -> int:
 
     if args.against and not args.compare:
         parser.error("--against requires --compare")
+    old_report = _load_report(args.compare) if args.compare else None
     if args.against:
-        with open(args.against, "r", encoding="utf-8") as handle:
-            new_report = json.load(handle)
-        return _print_comparison(args.compare, new_report)
+        return _print_comparison(args.compare, old_report, _load_report(args.against))
+
+    output = args.output or DEFAULT_OUTPUT
+    if args.compare and os.path.realpath(output) == os.path.realpath(args.compare):
+        if args.output:
+            parser.error("--output must not overwrite the --compare report")
+        # The documented gate names the committed report as OLD; writing the
+        # fresh run over it would compare the run with itself.
+        output = os.path.splitext(output)[0] + ".new.json"
 
     chosen = [name.strip() for name in args.only.split(",") if name.strip()] or list(_SUITES)
     unknown = sorted(set(chosen) - set(_SUITES))
@@ -145,10 +159,10 @@ def main(argv=None) -> int:
         "headline_metrics": baseline.HEADLINE_METRICS,
         "speedup_vs_baseline": baseline.speedups(results),
     }
-    with open(args.output, "w", encoding="utf-8") as handle:
+    with open(output, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print(f"[perf] wrote {args.output}")
+    print(f"[perf] wrote {output}")
     for name, metrics in results.items():
         headline = baseline.HEADLINE_METRICS.get(name)
         value = metrics.get(headline, 0.0) if headline else 0.0
@@ -176,8 +190,13 @@ def main(argv=None) -> int:
         _rewrite_baseline(results)
         print("[perf] baseline.py re-anchored to these results")
     if args.compare:
-        return _print_comparison(args.compare, report)
+        return _print_comparison(args.compare, old_report, report)
     return 0
+
+
+def _load_report(path: str) -> dict:
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def _headline_value(entry: dict, metric: str):
@@ -196,8 +215,8 @@ def _headline_value(entry: dict, metric: str):
     return None
 
 
-def _print_comparison(old_path: str, new_report: dict) -> int:
-    """Print per-bench headline speedups of ``new_report`` vs an old report.
+def _print_comparison(old_path: str, old_report: dict, new_report: dict) -> int:
+    """Print per-bench headline speedups of ``new_report`` vs ``old_report``.
 
     This is the one-command perf trajectory across PRs::
 
@@ -210,8 +229,6 @@ def _print_comparison(old_path: str, new_report: dict) -> int:
     CI runners swing far too much to gate on wall-clock, per the
     host-variance caveat in the README.
     """
-    with open(old_path, "r", encoding="utf-8") as handle:
-        old_report = json.load(handle)
     old_results = old_report.get("results", {})
     new_results = new_report.get("results", {})
     if old_report.get("quick") != new_report.get("quick"):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.consensus.interface import TotalOrderBroadcast
+from repro.consensus.interface import TotalOrderBroadcast, proposal_value_digest
 from repro.net.crypto import Certificate, Signature
 from repro.net.message import Envelope, Message, payload_digest
 
@@ -166,17 +166,16 @@ class BftSmartEngine(TotalOrderBroadcast):
         if self._proposed_views.get(key):
             return
         self._proposed_views[key] = True
-        instance.value = value
-        instance.value_digest = payload_digest(value)
-        self.start_instance(sequence)
-        self.abeb.broadcast(
-            BsPropose(
-                cluster_id=self.cluster_id,
-                sequence=sequence,
-                view=self.view_ts,
-                value=value,
-            )
+        proposal = BsPropose(
+            cluster_id=self.cluster_id,
+            sequence=sequence,
+            view=self.view_ts,
+            value=value,
         )
+        instance.value = value
+        instance.value_digest = proposal_value_digest(proposal)
+        self.start_instance(sequence)
+        self.abeb.broadcast(proposal)
 
     # ------------------------------------------------------------------ #
     # Message handling
@@ -206,7 +205,7 @@ class BftSmartEngine(TotalOrderBroadcast):
         if instance.decided:
             return
         instance.value = proposal.value
-        instance.value_digest = payload_digest(proposal.value)
+        instance.value_digest = proposal_value_digest(proposal)
         self.start_instance(proposal.sequence)
         key = (proposal.sequence, proposal.view)
         if not self._wrote.get(key):

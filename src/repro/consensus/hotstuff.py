@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.consensus.interface import TotalOrderBroadcast
+from repro.consensus.interface import TotalOrderBroadcast, proposal_value_digest
 from repro.net.crypto import Certificate, Signature
 from repro.net.message import Envelope, Message, payload_digest
 
@@ -185,15 +185,15 @@ class HotStuffEngine(TotalOrderBroadcast):
         if self._proposed_views.get(key):
             return
         self._proposed_views[key] = True
-        instance.value = value
-        instance.value_digest = payload_digest(value)
-        self.start_instance(sequence)
         proposal = HsProposal(
             cluster_id=self.cluster_id,
             sequence=sequence,
             view=self.view_ts,
             value=value,
         )
+        instance.value = value
+        instance.value_digest = proposal_value_digest(proposal)
+        self.start_instance(sequence)
         self.abeb.broadcast(proposal)
 
     # ------------------------------------------------------------------ #
@@ -223,7 +223,7 @@ class HotStuffEngine(TotalOrderBroadcast):
         if instance.decided:
             return
         instance.value = proposal.value
-        instance.value_digest = payload_digest(proposal.value)
+        instance.value_digest = proposal_value_digest(proposal)
         self.start_instance(proposal.sequence)
         self._send_vote(proposal.sequence, "prepare", instance.value_digest)
 

@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.consensus.hotstuff import _value_size
-from repro.consensus.interface import TotalOrderBroadcast
+from repro.consensus.interface import TotalOrderBroadcast, proposal_value_digest
 from repro.net.crypto import Certificate, Signature
 from repro.net.message import Envelope, Message, payload_digest
 
@@ -275,16 +275,16 @@ class ChainedHotStuffEngine(TotalOrderBroadcast):
         if self._proposed_views.get(key):
             return
         self._proposed_views[key] = True
-        instance.value = value
-        instance.value_digest = payload_digest(value)
-        self.start_instance(sequence)
-        justify = self._justify.pop(sequence, None)
         proposal = ChProposal(
             cluster_id=self.cluster_id,
             sequence=sequence,
             view=self.view_ts,
             value=value,
         )
+        instance.value = value
+        instance.value_digest = proposal_value_digest(proposal)
+        self.start_instance(sequence)
+        justify = self._justify.pop(sequence, None)
         if justify is not None:
             proposal.justify_view, proposal.justify_certificate = justify
         prev = sequence - 1
@@ -334,7 +334,7 @@ class ChainedHotStuffEngine(TotalOrderBroadcast):
         instance = self.instance(proposal.sequence)
         if instance.decided:
             return
-        digest = payload_digest(proposal.value)
+        digest = proposal_value_digest(proposal)
         locked = self._locked.get(proposal.sequence)
         if locked is not None and locked[1] != digest:
             # Locked on a conflicting value: only a justify QC at or above

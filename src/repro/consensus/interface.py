@@ -26,7 +26,28 @@ from repro.sim.simulator import Simulator
 
 def commit_digest(cluster_id: int, sequence: int, value: Any) -> str:
     """Digest that commit certificates sign: binds cluster, round, and batch."""
-    return f"commit|c{cluster_id}|s{sequence}|{payload_digest(value)}"
+    return _commit_digest_of(cluster_id, sequence, payload_digest(value))
+
+
+def _commit_digest_of(cluster_id: int, sequence: int, value_digest: str) -> str:
+    """``commit_digest`` from an already computed ``payload_digest`` of the value."""
+    return f"commit|c{cluster_id}|s{sequence}|{value_digest}"
+
+
+def proposal_value_digest(proposal: Any) -> str:
+    """``payload_digest(proposal.value)``, walked once per proposal message.
+
+    A proposal is one message object shared by its whole multicast, and the
+    digest walks the entire batch, so the leader and every receiver read one
+    memoised string instead of each re-walking the batch.  The memo lives in
+    the message's ``__dict__`` and is filled only here, from the proposal's
+    own value — the same contract as ``Message.digest``'s ``_digest_cache``.
+    """
+    cache = proposal.__dict__
+    digest = cache.get("_value_digest_cache")
+    if digest is None:
+        digest = cache["_value_digest_cache"] = payload_digest(proposal.value)
+    return digest
 
 
 @dataclass
@@ -77,9 +98,9 @@ class _Instance:
     decided: bool = False
     votes: dict = field(default_factory=dict)
     #: Cache of ``commit_digest(cluster, sequence, value)`` together with the
-    #: value identity it was computed for (the digest walks the whole batch,
-    #: and the engines recompute it once per vote/phase otherwise).
-    commit_digest_value: Any = None
+    #: ``value_digest`` object it was built from (the digest copies the
+    #: whole value digest, and the engines need it once per vote/phase).
+    commit_digest_source: Optional[str] = None
     commit_digest_cache: Optional[str] = None
 
 
@@ -319,30 +340,33 @@ class TotalOrderBroadcast(ABC):
         instance = self.instance(sequence)
         if instance.decided or value is None:
             return False
-        digest = commit_digest(self.cluster_id, sequence, value)
+        value_digest = payload_digest(value)
+        digest = _commit_digest_of(self.cluster_id, sequence, value_digest)
         if not self.registry.certificate_valid(
             certificate, self.members(), self.quorum(), digest=digest
         ):
             return False
         instance.value = value
-        instance.value_digest = payload_digest(value)
-        instance.commit_digest_value = value
+        instance.value_digest = value_digest
+        instance.commit_digest_source = value_digest
         instance.commit_digest_cache = digest
         self._decide(sequence, value, certificate)
         return True
 
     def instance_commit_digest(self, instance: _Instance) -> str:
-        """``commit_digest`` over an instance's value, cached per value.
+        """``commit_digest`` over an instance's value, built from its digest.
 
-        The digest walks the whole batch; engines need it once per commit
-        vote, decide broadcast, and certificate check, so it is computed once
-        per (instance, value identity) instead.
+        Every engine sets ``value`` and ``value_digest`` together, so the
+        batch is not re-walked here: the commit digest frames the instance's
+        ``value_digest``.  Engines need it once per commit vote, decide
+        broadcast, and certificate check, so it is built once per
+        (instance, value digest) instead.
         """
-        value = instance.value
+        value_digest = instance.value_digest
         digest = instance.commit_digest_cache
-        if digest is None or instance.commit_digest_value is not value:
-            digest = commit_digest(self.cluster_id, instance.sequence, value)
-            instance.commit_digest_value = value
+        if digest is None or instance.commit_digest_source is not value_digest:
+            digest = _commit_digest_of(self.cluster_id, instance.sequence, value_digest)
+            instance.commit_digest_source = value_digest
             instance.commit_digest_cache = digest
         return digest
 
@@ -385,4 +409,5 @@ __all__ = [
     "ReadLease",
     "TotalOrderBroadcast",
     "commit_digest",
+    "proposal_value_digest",
 ]

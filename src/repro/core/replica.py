@@ -712,9 +712,14 @@ class HamavaReplica(Process):
         execution_order = [cid for cid in self._sorted_view_ids() if cid in operations]
         for cluster_id in execution_order:
             bundle = operations[cluster_id]
-            for transaction in bundle.transactions:
-                self._apply_transaction(transaction)
-                operation_count += 1
+            transactions = bundle.transactions
+            owed = self.kv.apply(transactions, self.process_id, self._forwarded)
+            txn_ids = [transaction.txn_id for transaction in transactions]
+            self.execution_log.extend(txn_ids)
+            self._executed_ids.update(txn_ids)
+            operation_count += len(txn_ids)
+            for transaction, value in owed:
+                self._respond(transaction, value)
             reconfigs = self._extract_reconfigs(bundle)
             for request in reconfigs:
                 self._apply_reconfig(cluster_id, request)
@@ -749,30 +754,28 @@ class HamavaReplica(Process):
         self.round_number += 1
         self.after(execution_delay, self._start_round, label=f"{self.process_id}:next-round")
 
-    def _apply_transaction(self, transaction: Transaction) -> None:
-        value = self.kv.apply(transaction)
-        self._executed_ids.add(transaction.txn_id)
-        was_ours = self._forwarded.pop(transaction.txn_id, None) is not None
-        self.execution_log.append(transaction.txn_id)
-        # Respond if the client originally contacted us, or if the client
-        # retried the request through us after its original replica failed
-        # (clients de-duplicate responses by transaction id).
-        if was_ours or transaction.origin_replica == self.process_id:
-            if transaction.client_id in self._batch_clients:
-                # Open-loop clients get their acks batched per execution.
-                self._pending_batch.setdefault(transaction.client_id, []).append(
-                    (transaction.txn_id, value)
-                )
-                return
-            self.apl.send(
-                transaction.client_id,
-                ClientResponse(
-                    txn_id=transaction.txn_id,
-                    value=value,
-                    committed_round=self.round_number,
-                    leader_hint=self.leader,
-                ),
+    def _respond(self, transaction: Transaction, value: Optional[str]) -> None:
+        """Answer an executed transaction this replica owes a response for.
+
+        It owes one if the client originally contacted it, or if the client
+        retried the request through it after its original replica failed
+        (clients de-duplicate responses by transaction id).
+        """
+        if transaction.client_id in self._batch_clients:
+            # Open-loop clients get their acks batched per execution.
+            self._pending_batch.setdefault(transaction.client_id, []).append(
+                (transaction.txn_id, value)
             )
+            return
+        self.apl.send(
+            transaction.client_id,
+            ClientResponse(
+                txn_id=transaction.txn_id,
+                value=value,
+                committed_round=self.round_number,
+                leader_hint=self.leader,
+            ),
+        )
 
     def _extract_reconfigs(self, bundle: OperationsBundle) -> Tuple[ReconfigRequest, ...]:
         if self.config.parallel_reconfig:

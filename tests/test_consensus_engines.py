@@ -126,6 +126,21 @@ class TestEngines:
         digests = {repr(h.decisions[0].value) for h in hosts}
         assert len(digests) == 1
 
+    def test_batch_digested_once_per_proposal(self, engine_cls):
+        # The leader and every receiver read the proposal's memoised digest,
+        # so the whole cluster holds one string object for the instance, and
+        # the commit digest built from it matches a fresh walk of the value.
+        simulator, _, hosts = build_cluster(engine_cls)
+        value = ["tx1", "tx2", "tx3"]
+        hosts[0].engine.propose(1, value)
+        simulator.run(until=5.0)
+        instances = [host.engine.instance(1) for host in hosts]
+        assert all(instance.decided for instance in instances)
+        shared = instances[0].value_digest
+        assert all(instance.value_digest is shared for instance in instances)
+        for host, instance in zip(hosts, instances):
+            assert host.engine.instance_commit_digest(instance) == commit_digest(0, 1, value)
+
 
 class TestRegistry:
     def test_known_engines(self):

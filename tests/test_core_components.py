@@ -128,30 +128,30 @@ class TestTransactionsAndBundles:
 class TestKeyValueStore:
     def test_write_then_read(self):
         store = KeyValueStore()
-        store.apply(make_transaction("c", "r", "write", "k", "v1"))
+        store.apply([make_transaction("c", "r", "write", "k", "v1")], "r", {})
         assert store.read("k") == "v1"
         assert store.applied == 1
 
     def test_read_returns_current_value(self):
         store = KeyValueStore()
         txn = make_transaction("c", "r", "read", "missing")
-        assert store.apply(txn) is None
+        assert store.apply([txn], "r", {}) == [(txn, None)]
 
     def test_snapshot_restore_roundtrip(self):
         store = KeyValueStore()
-        store.apply(make_transaction("c", "r", "write", "a", "1"))
+        store.apply([make_transaction("c", "r", "write", "a", "1")], "r", {})
         snapshot = store.snapshot()
         other = KeyValueStore()
         other.restore(snapshot)
         assert other.read("a") == "1"
         # Restoring is a copy, not an alias.
-        store.apply(make_transaction("c", "r", "write", "a", "2"))
+        store.apply([make_transaction("c", "r", "write", "a", "2")], "r", {})
         assert other.read("a") == "1"
 
     def test_fingerprint_tracks_writes(self):
         store = KeyValueStore()
         assert store.fingerprint() == (0, 0)
-        store.apply(make_transaction("c", "r", "write", "a", "1"))
+        store.apply([make_transaction("c", "r", "write", "a", "1")], "r", {})
         assert store.fingerprint() == (1, 1)
 
 

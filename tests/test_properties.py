@@ -111,7 +111,7 @@ class TestStateMachineProperties:
                 txn_id=f"t{index}", client_id="c", origin_replica="r",
                 op="write", key=key, value=value,
             )
-            first.apply(txn)
-            second.apply(txn)
+            first.apply([txn], "r", {})
+            second.apply([txn], "r", {})
         assert first.data == second.data
         assert first.fingerprint() == second.fingerprint()
